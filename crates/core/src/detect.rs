@@ -231,8 +231,8 @@ fn detect_impl(
         }
     }
 
-    // Hoisted per-node stats. Device norms come from the backend's
-    // row-norm kernel via `Matrix::row_norms`; block-embedding norms go
+    // Hoisted per-node stats. Device norms come from the row-norm
+    // kernel via `Matrix::row_norms`; block-embedding norms go
     // through the same free `row_norm` — one source of truth for the
     // denominator arithmetic.
     let device_norms = z.row_norms();

@@ -1,324 +1,52 @@
-//! Runtime-dispatched compute backends for the hot kernels.
+//! The name of the kernels this crate runs.
 //!
-//! Every dense/sparse product in this crate bottoms out in four
-//! primitives — a blocked matmul row kernel, fused AXPY, dot, and
-//! sum-of-squares. [`Backend`] abstracts those primitives so the same
-//! call sites can run the cache-blocked scalar reference
-//! ([`ScalarBackend`]) or the register-tiled SIMD-friendly variant
-//! ([`crate::simd::SimdBackend`]), selected once per process.
-//!
-//! # Bit-identity contract
-//!
-//! Backends must be **byte-identical**: for every primitive, each
-//! output element is produced by the same sequence of IEEE-754
-//! operations in the same order as the scalar reference. The SIMD
-//! backend therefore wins by *register tiling* (fewer memory round
-//! trips, independent per-lane accumulators the compiler can
-//! vectorize), never by reassociating a reduction:
-//!
-//! * `matmul_rows` may group `k` steps, but each output element still
-//!   receives its `a[k]·b[k][j]` contributions as separate adds in
-//!   ascending `k` order — fusing them (`a0*b0 + a1*b1` in one
-//!   expression tree) would change rounding and is forbidden;
-//! * `dot` and `sum_squares` are loop-carried sequential reductions:
-//!   splitting them across lanes reassociates the sum and changes bits,
-//!   so **both backends share the sequential implementation** (the
-//!   provided trait methods). This is a deliberate design decision, not
-//!   an omission — the pairwise-cosine and `row_norms` kernels instead
-//!   win by hoisting (compute each norm once, not once per pair).
-//!
-//! The contract is pinned by `tests/` in this crate and by the
-//! cross-backend identity suite in `crates/bench/tests/`.
-//!
-//! # Selection
-//!
-//! The active backend is process-wide: [`set_backend`] (the CLI
-//! `--backend` flag lands here) or the `ANCSTR_BACKEND` environment
-//! variable (`scalar` | `simd`), read lazily on first kernel use.
-//! Unset means [`BackendKind::Simd`] — the fast path is the default
-//! because it is bit-identical. Unlike a `OnceLock`, the selection is
-//! re-settable: `ancstr bench` runs both backends in one process to
-//! compare them.
+//! There is one set of kernels: the register-tiled `[f64; 4]`-lane
+//! matmul and AXPY in [`crate::matrix`]. Nothing selects between
+//! implementations; this module only names the one there is.
 
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+/// The crate's kernel implementation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Kernels;
 
-/// Column-block width for the blocked matmul tiles: sized so one
-/// output-row block plus one RHS-row block stay L1-resident.
-pub(crate) const J_BLOCK: usize = 256;
-
-/// Inner-dimension block depth: bounds the RHS tile (`K_BLOCK ×
-/// J_BLOCK` doubles ≈ 512 KiB) touched per output-row block.
-pub(crate) const K_BLOCK: usize = 256;
-
-/// A compute backend over the hot kernel primitives.
-///
-/// Required methods are the primitives that differ between backends;
-/// provided methods are the loop-carried reductions every backend must
-/// share (see the module docs) plus the composites built on them.
-pub trait Backend: Sync {
-    /// The backend's stable name (`"scalar"` / `"simd"`), reported in
-    /// bench attribution.
-    fn name(&self) -> &'static str;
-
-    /// The ikj matmul kernel for one block of output rows,
-    /// cache-blocked over the inner dimension and the output columns.
-    ///
-    /// `out` must be zeroed and cover exactly `rows`. Per output
-    /// element the accumulation must visit `k` in globally ascending
-    /// order with the `a == 0.0` skip applied per LHS element —
-    /// skipping is *not* the same as multiplying when the other operand
-    /// holds an `inf`/`NaN`, so every backend must agree.
-    fn matmul_rows(
-        &self,
-        a: &[f64],
-        inner: usize,
-        rows: Range<usize>,
-        b: &[f64],
-        n: usize,
-        out: &mut [f64],
-    );
-
-    /// Fused AXPY: `y += a · x`, the accumulation primitive the sparse
-    /// kernels share. Elements are independent, so backends may process
-    /// them in any grouping.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a length mismatch.
-    fn axpy(&self, y: &mut [f64], a: f64, x: &[f64]);
-
-    /// Dot product in ascending index order, zipped to the shorter
-    /// operand — the exact accumulation [`crate::cosine_similarity`]
-    /// uses for its numerator.
-    ///
-    /// Loop-carried reduction: shared by every backend (see module
-    /// docs), so it is a provided method and must not be overridden
-    /// with a lane-split variant.
-    fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
-        a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-    }
-
-    /// Sum of squares in ascending index order — the radicand of
-    /// [`Backend::row_norm`] and of the cosine denominators. Shared by
-    /// every backend for the same reason as [`Backend::dot`].
-    fn sum_squares(&self, v: &[f64]) -> f64 {
-        v.iter().map(|x| x * x).sum()
-    }
-
-    /// The L2 norm of one row, computed exactly as
-    /// [`crate::cosine_similarity`] computes its per-vector norms.
-    fn row_norm(&self, row: &[f64]) -> f64 {
-        self.sum_squares(row).sqrt()
-    }
-
-    /// Cosine similarity with hoisted norms: `dot / (na · nb)`, or 0
-    /// when either norm is 0. Bit-identical to
-    /// [`crate::cosine_similarity`] when `na`/`nb` come from
-    /// [`Backend::row_norm`] over the full vectors.
-    fn cosine_with_norms(&self, a: &[f64], b: &[f64], na: f64, nb: f64) -> f64 {
-        if na == 0.0 || nb == 0.0 {
-            return 0.0;
-        }
-        self.dot(a, b) / (na * nb)
-    }
-}
-
-/// The cache-blocked scalar reference backend — the historical kernels,
-/// verbatim. Every other backend is pinned bit-for-bit against this
-/// one.
-pub struct ScalarBackend;
-
-impl Backend for ScalarBackend {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn matmul_rows(
-        &self,
-        a: &[f64],
-        inner: usize,
-        rows: Range<usize>,
-        b: &[f64],
-        n: usize,
-        out: &mut [f64],
-    ) {
-        for (li, i) in rows.enumerate() {
-            let arow = &a[i * inner..(i + 1) * inner];
-            let orow = &mut out[li * n..(li + 1) * n];
-            for k0 in (0..inner).step_by(K_BLOCK) {
-                let k1 = (k0 + K_BLOCK).min(inner);
-                for j0 in (0..n).step_by(J_BLOCK) {
-                    let j1 = (j0 + J_BLOCK).min(n);
-                    for (k, &av) in (k0..k1).zip(&arow[k0..k1]) {
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let brow = &b[k * n + j0..k * n + j1];
-                        for (o, &bv) in orow[j0..j1].iter_mut().zip(brow) {
-                            *o += av * bv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn axpy(&self, y: &mut [f64], a: f64, x: &[f64]) {
-        assert_eq!(y.len(), x.len(), "axpy length mismatch");
-        for (yv, &xv) in y.iter_mut().zip(x) {
-            *yv += a * xv;
-        }
-    }
-}
-
-/// Which backend implementation to dispatch to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// The cache-blocked scalar reference.
-    Scalar,
-    /// Register-tiled fixed-width-lane kernels ([`crate::simd`]).
-    Simd,
-}
-
-impl BackendKind {
-    /// Every selectable backend, in reference-first order.
-    pub const ALL: [BackendKind; 2] = [BackendKind::Scalar, BackendKind::Simd];
-
-    /// The stable name (`"scalar"` / `"simd"`).
+impl Kernels {
+    /// The stable name, `"simd"`: the register-tiled lane kernels.
     pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Scalar => "scalar",
-            BackendKind::Simd => "simd",
-        }
-    }
-
-    /// Parse a backend name as accepted by `--backend` and
-    /// `ANCSTR_BACKEND`.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(BackendKind::Scalar),
-            "simd" => Some(BackendKind::Simd),
-            _ => None,
-        }
-    }
-
-    /// The backend implementation.
-    pub fn backend(self) -> &'static dyn Backend {
-        match self {
-            BackendKind::Scalar => &ScalarBackend,
-            BackendKind::Simd => &crate::simd::SimdBackend,
-        }
+        "simd"
     }
 }
 
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// 0 = unresolved (consult `ANCSTR_BACKEND` on first use), 1 = scalar,
-/// 2 = simd. Re-settable, unlike a `OnceLock`: the bench harness flips
-/// backends mid-process to compare them.
-static ACTIVE: AtomicUsize = AtomicUsize::new(0);
-
-fn encode(kind: BackendKind) -> usize {
-    match kind {
-        BackendKind::Scalar => 1,
-        BackendKind::Simd => 2,
-    }
-}
-
-/// Select the process-wide backend (overrides `ANCSTR_BACKEND`).
-pub fn set_backend(kind: BackendKind) {
-    ACTIVE.store(encode(kind), Ordering::SeqCst);
-}
-
-/// The currently selected backend kind, resolving `ANCSTR_BACKEND`
-/// (default [`BackendKind::Simd`]) on first use.
-///
-/// # Panics
-///
-/// Panics if `ANCSTR_BACKEND` is set to an unknown name — a misspelled
-/// backend silently falling back to the default would make benchmark
-/// comparisons lie.
-pub fn backend_kind() -> BackendKind {
-    match ACTIVE.load(Ordering::SeqCst) {
-        1 => BackendKind::Scalar,
-        2 => BackendKind::Simd,
-        _ => {
-            let kind = match std::env::var("ANCSTR_BACKEND") {
-                Ok(v) => BackendKind::parse(&v).unwrap_or_else(|| {
-                    panic!("ANCSTR_BACKEND must be 'scalar' or 'simd', got '{v}'")
-                }),
-                Err(_) => BackendKind::Simd,
-            };
-            ACTIVE.store(encode(kind), Ordering::SeqCst);
-            kind
-        }
-    }
-}
-
-/// The active backend implementation — the single dispatch point every
-/// kernel call site goes through.
-pub fn active() -> &'static dyn Backend {
-    backend_kind().backend()
+/// The kernels in use — always [`Kernels`]. The benchmark's host
+/// record reads this to label its runs.
+pub fn backend_kind() -> Kernels {
+    Kernels
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_parse_and_names_round_trip() {
-        for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::parse(kind.name()), Some(kind));
-            assert_eq!(kind.backend().name(), kind.name());
-            assert_eq!(kind.to_string(), kind.name());
-        }
-        assert_eq!(BackendKind::parse(" SIMD "), Some(BackendKind::Simd));
-        assert_eq!(BackendKind::parse("avx512"), None);
-    }
-
-    #[test]
-    fn set_backend_switches_dispatch() {
-        // Serialize against other tests touching the global selection.
-        let before = backend_kind();
-        set_backend(BackendKind::Scalar);
-        assert_eq!(backend_kind(), BackendKind::Scalar);
-        assert_eq!(active().name(), "scalar");
-        set_backend(BackendKind::Simd);
-        assert_eq!(backend_kind(), BackendKind::Simd);
-        assert_eq!(active().name(), "simd");
-        set_backend(before);
-    }
+    use crate::{cosine_similarity, dot, row_norm};
 
     #[test]
     fn shared_reductions_are_sequential_and_identical() {
         let v: Vec<f64> = (0..131).map(|i| (i as f64) * 0.37 - 19.0).collect();
         let w: Vec<f64> = (0..131).map(|i| (i as f64).sin()).collect();
-        for kind in BackendKind::ALL {
-            let b = kind.backend();
-            let expect_dot: f64 = v.iter().zip(&w).map(|(x, y)| x * y).sum();
-            assert_eq!(b.dot(&v, &w).to_bits(), expect_dot.to_bits());
-            let expect_sq: f64 = v.iter().map(|x| x * x).sum();
-            assert_eq!(b.sum_squares(&v).to_bits(), expect_sq.to_bits());
-            assert_eq!(b.row_norm(&v).to_bits(), expect_sq.sqrt().to_bits());
+        let mut expect_dot = 0.0;
+        let mut expect_sq = 0.0;
+        for (x, y) in v.iter().zip(&w) {
+            expect_dot += x * y;
+            expect_sq += x * x;
         }
+        assert_eq!(dot(&v, &w).to_bits(), expect_dot.to_bits());
+        assert_eq!(row_norm(&v).to_bits(), expect_sq.sqrt().to_bits());
     }
 
     #[test]
     fn cosine_with_norms_matches_cosine_similarity() {
         let a: Vec<f64> = (0..37).map(|i| (i as f64) * 0.11 - 2.0).collect();
         let b: Vec<f64> = (0..41).map(|i| (i as f64) * -0.07 + 1.5).collect();
-        for kind in BackendKind::ALL {
-            let be = kind.backend();
-            let (na, nb) = (be.row_norm(&a), be.row_norm(&b));
-            let hoisted = be.cosine_with_norms(&a, &b, na, nb);
-            let direct = crate::cosine_similarity(&a, &b);
-            assert_eq!(hoisted.to_bits(), direct.to_bits());
-            assert_eq!(be.cosine_with_norms(&a, &b, 0.0, nb), 0.0);
-        }
+        // Norms hoisted out of a pair loop reproduce the per-pair
+        // quotient bit for bit, zero-padding included.
+        let hoisted = dot(&a, &b) / (row_norm(&a) * row_norm(&b));
+        assert_eq!(hoisted.to_bits(), cosine_similarity(&a, &b).to_bits());
+        assert_eq!(cosine_similarity(&a, &[0.0; 41]), 0.0);
     }
 }

@@ -17,15 +17,21 @@
 //!   everywhere (skipping is *not* the same as multiplying when the
 //!   other operand holds an `inf`/`NaN`, so every variant must agree).
 //!
-//! The kernel arithmetic itself lives behind the [`crate::backend`]
-//! dispatch point (scalar reference vs. SIMD lanes, byte-identical by
-//! contract); this module owns shapes, profiling, and the parallel
-//! row-chunk scheduling.
+//! The matmul row kernel and [`axpy`] are register-tiled over
+//! fixed-width `[f64; 4]` lanes, in stable Rust with no intrinsics: the
+//! independent lane operations are what the compiler's autovectorizer
+//! turns into packed SSE2/AVX. Tiling keeps a strip of the output row
+//! in registers across 4 `k` steps instead of round-tripping through
+//! memory per step; memory round trips do not change `f64` bits, so
+//! every output element still receives the same adds in the same
+//! order as the naive ijk loop (pinned by the tests below). Reductions
+//! that would need reassociation to vectorize ([`dot`], [`row_norm`])
+//! stay sequential loops.
 
 use std::fmt;
 use std::ops::{Index, IndexMut, Range};
 
-use crate::backend;
+use ancstr_par::profile::{self, Kernel};
 
 /// A dense row-major matrix of `f64`.
 ///
@@ -167,17 +173,13 @@ impl Matrix {
         let mut out = Matrix::zeros(self.rows, other.cols);
         let inner = self.cols;
         let n = other.cols;
-        let _prof = ancstr_par::profile::time(
-            ancstr_par::profile::Kernel::Matmul,
-            (self.rows * inner * n) as u64,
-        );
-        let be = backend::active();
+        profile::count(Kernel::Matmul, (self.rows * inner * n) as u64);
         par_row_chunks(
             self.rows,
             n,
             &mut out.data,
             min_rows_for(inner * n),
-            |rows, chunk| be.matmul_rows(&self.data, inner, rows, &other.data, n, chunk),
+            |rows, chunk| matmul_rows(&self.data, inner, rows, &other.data, n, chunk),
         );
         out
     }
@@ -349,13 +351,9 @@ impl Matrix {
     /// [`cosine_similarity`] computes its per-vector norms (sum of
     /// squares in index order, then square root).
     pub fn row_norms(&self) -> Vec<f64> {
-        let _prof = ancstr_par::profile::time(
-            ancstr_par::profile::Kernel::RowNorms,
-            (self.rows * self.cols) as u64,
-        );
-        let be = backend::active();
+        profile::count(Kernel::RowNorms, (self.rows * self.cols) as u64);
         ancstr_par::map_chunks(self.rows, min_rows_for(self.cols), |rows| {
-            rows.map(|r| be.row_norm(self.row(r))).collect::<Vec<f64>>()
+            rows.map(|r| row_norm(self.row(r))).collect::<Vec<f64>>()
         })
         .into_iter()
         .flatten()
@@ -493,38 +491,175 @@ pub(crate) fn par_row_chunks(
     });
 }
 
+/// Column-block width for the blocked matmul tiles: sized so one
+/// output-row block plus one RHS-row block stay L1-resident.
+const J_BLOCK: usize = 256;
+
+/// Inner-dimension block depth: bounds the RHS tile (`K_BLOCK ×
+/// J_BLOCK` doubles ≈ 512 KiB) touched per output-row block.
+const K_BLOCK: usize = 256;
+
+/// Lane width: 4 × f64 = one AVX register (or two SSE2 registers).
+const LANES: usize = 4;
+
+/// The ikj matmul kernel for one block of output rows, cache-blocked
+/// over the inner dimension and the output columns, with a 4×4
+/// register tile: `k` advances in groups of 4 and a `[f64; 4]` strip of
+/// the output row stays in registers across the group.
+///
+/// `out` must be zeroed and cover exactly `rows`. Per output element
+/// the contributions are still four *separate* adds in ascending `k`
+/// order — never a fused `a0*b0 + a1*b1 + …` expression, which would
+/// reassociate the rounding. The all-nonzero fast path is taken per
+/// `k`-group; any zero in the group falls back to the per-`k` loop so
+/// the `a == 0.0` skip (inf/NaN in `b` stays untouched) holds exactly.
+pub(crate) fn matmul_rows(
+    a: &[f64],
+    inner: usize,
+    rows: Range<usize>,
+    b: &[f64],
+    n: usize,
+    out: &mut [f64],
+) {
+    for (li, i) in rows.enumerate() {
+        let arow = &a[i * inner..(i + 1) * inner];
+        let orow = &mut out[li * n..(li + 1) * n];
+        for k0 in (0..inner).step_by(K_BLOCK) {
+            let k1 = (k0 + K_BLOCK).min(inner);
+            for j0 in (0..n).step_by(J_BLOCK) {
+                let j1 = (j0 + J_BLOCK).min(n);
+                let mut k = k0;
+                while k + LANES <= k1 {
+                    let ak: [f64; LANES] = arow[k..k + LANES].try_into().expect("lane slice");
+                    if ak.iter().all(|&v| v != 0.0) {
+                        kgroup_tile(ak, &b[k * n..(k + LANES) * n], n, j0, j1, orow);
+                    } else {
+                        kgroup_scalar(&ak, k, b, n, j0, j1, orow);
+                    }
+                    k += LANES;
+                }
+                // Inner-dimension remainder: one `k` at a time.
+                for (kk, &av) in (k..k1).zip(&arow[k..k1]) {
+                    if av == 0.0 {
+                        continue;
+                    }
+                    let brow = &b[kk * n + j0..kk * n + j1];
+                    for (o, &bv) in orow[j0..j1].iter_mut().zip(brow) {
+                        *o += av * bv;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One all-nonzero `k`-group over one column block: accumulate 4 `k`
+/// steps into a register-resident strip of the output row.
+///
+/// `bgroup` holds the 4 RHS rows of the group (`bgroup[l*n + j]` =
+/// `b[(k+l)*n + j]`).
+#[inline]
+fn kgroup_tile(ak: [f64; LANES], bgroup: &[f64], n: usize, j0: usize, j1: usize, orow: &mut [f64]) {
+    let width = j1 - j0;
+    let out = &mut orow[j0..j1];
+    let rows: [&[f64]; LANES] = [
+        &bgroup[j0..j1],
+        &bgroup[n + j0..n + j1],
+        &bgroup[2 * n + j0..2 * n + j1],
+        &bgroup[3 * n + j0..3 * n + j1],
+    ];
+    let mut j = 0;
+    while j + LANES <= width {
+        let mut acc: [f64; LANES] = out[j..j + LANES].try_into().expect("lane slice");
+        // Four separate adds per element, ascending k — the same
+        // rounding sequence as one k at a time.
+        for (&av, brow) in ak.iter().zip(rows) {
+            let bl: &[f64; LANES] = brow[j..j + LANES].try_into().expect("lane slice");
+            for l in 0..LANES {
+                acc[l] += av * bl[l];
+            }
+        }
+        out[j..j + LANES].copy_from_slice(&acc);
+        j += LANES;
+    }
+    // Column remainder: same per-element add order, one lane at a time.
+    for jj in j..width {
+        let mut acc = out[jj];
+        for (&av, brow) in ak.iter().zip(rows) {
+            acc += av * brow[jj];
+        }
+        out[jj] = acc;
+    }
+}
+
+/// Fallback for a `k`-group containing zeros: the per-`k` loop with
+/// the `a == 0.0` skip.
+#[inline]
+fn kgroup_scalar(
+    ak: &[f64; LANES],
+    k: usize,
+    b: &[f64],
+    n: usize,
+    j0: usize,
+    j1: usize,
+    orow: &mut [f64],
+) {
+    for (l, &av) in ak.iter().enumerate() {
+        if av == 0.0 {
+            continue;
+        }
+        let kk = k + l;
+        let brow = &b[kk * n + j0..kk * n + j1];
+        for (o, &bv) in orow[j0..j1].iter_mut().zip(brow) {
+            *o += av * bv;
+        }
+    }
+}
+
 /// Fused AXPY: `y += a · x`, the accumulation primitive the sparse
-/// kernels share. Dispatches to the active [`crate::backend`].
+/// kernels share. Runs over `[f64; 4]` chunks; every element is
+/// independent, so lane grouping cannot change bits.
 ///
 /// # Panics
 ///
 /// Panics on a length mismatch.
 pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
-    let _prof = ancstr_par::profile::time(
-        ancstr_par::profile::Kernel::Axpy,
-        y.len() as u64,
-    );
-    backend::active().axpy(y, a, x);
+    profile::count(Kernel::Axpy, y.len() as u64);
+    assert_eq!(y.len(), x.len(), "axpy length mismatch");
+    let mut yc = y.chunks_exact_mut(LANES);
+    let mut xc = x.chunks_exact(LANES);
+    for (yl, xl) in (&mut yc).zip(&mut xc) {
+        let yl: &mut [f64; LANES] = yl.try_into().expect("lane slice");
+        let xl: &[f64; LANES] = xl.try_into().expect("lane slice");
+        for l in 0..LANES {
+            yl[l] += a * xl[l];
+        }
+    }
+    for (yv, &xv) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
+        *yv += a * xv;
+    }
 }
 
-/// Dot product in ascending index order — the exact accumulation
-/// [`cosine_similarity`] uses for its numerator, so callers that cache
-/// [`Matrix::row_norms`] can reproduce its quotient bit-for-bit.
+/// Dot product in ascending index order, zipped to the shorter operand
+/// — the exact accumulation [`cosine_similarity`] uses for its
+/// numerator, so callers that cache [`Matrix::row_norms`] can reproduce
+/// its quotient bit-for-bit.
 ///
-/// Sequential on every backend: lane-splitting a loop-carried sum
-/// would reassociate it (see the [`crate::backend`] docs).
+/// A loop-carried sequential sum on purpose: lane-splitting it would
+/// reassociate the sum and change bits.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    backend::active().dot(a, b)
+    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
 /// L2 norm of one vector, computed exactly as [`cosine_similarity`]
 /// computes its per-vector denominators (and as [`Matrix::row_norms`]
-/// computes each row's norm). The single source of truth for norm
-/// arithmetic: callers that hoist norms out of pair loops — constraint
-/// detection scores O(n²) pairs over n vectors — get quotients
-/// bit-identical to calling [`cosine_similarity`] per pair.
+/// computes each row's norm): sum of squares in index order, then
+/// square root. The single source of truth for norm arithmetic:
+/// callers that hoist norms out of pair loops — constraint detection
+/// scores O(n²) pairs over n vectors — get quotients bit-identical to
+/// calling [`cosine_similarity`] per pair.
 pub fn row_norm(x: &[f64]) -> f64 {
-    backend::active().row_norm(x)
+    x.iter().map(|v| v * v).sum::<f64>().sqrt()
 }
 
 /// Cosine similarity between two equal-or-different-length vectors; the
@@ -542,9 +677,11 @@ pub fn row_norm(x: &[f64]) -> f64 {
 /// assert!((cosine_similarity(&[1.0, 1.0], &[1.0, 1.0, 0.0]) - 1.0).abs() < 1e-12);
 /// ```
 pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
-    let be = backend::active();
-    let (na, nb) = (be.row_norm(a), be.row_norm(b));
-    be.cosine_with_norms(a, b, na, nb)
+    let (na, nb) = (row_norm(a), row_norm(b));
+    if na == 0.0 || nb == 0.0 {
+        return 0.0;
+    }
+    dot(a, b) / (na * nb)
 }
 
 #[cfg(test)]
@@ -637,7 +774,7 @@ mod tests {
         })
     }
 
-    /// The historical reference: naive ijk with the `a == 0.0` skip.
+    /// The reference oracle: naive ijk with the `a == 0.0` skip.
     fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
         for i in 0..a.rows() {
@@ -664,13 +801,29 @@ mod tests {
     #[test]
     fn blocked_matmul_is_bit_identical_to_naive_across_block_boundaries() {
         let mut seed = 7;
-        // Shapes straddling J_BLOCK/K_BLOCK boundaries and the
-        // parallel-dispatch threshold.
+        // Shapes straddling the lane width, the J_BLOCK/K_BLOCK
+        // boundaries and the parallel-dispatch threshold.
         for (m, k, n) in [(3, 5, 4), (17, 300, 9), (5, 260, 270), (600, 18, 18), (64, 257, 31)] {
             let mut a = lcg_matrix(m, k, &mut seed);
             // Exercise the zero-skip path too.
             if m > 1 && k > 2 {
                 a[(1, 2)] = 0.0;
+            }
+            let b = lcg_matrix(k, n, &mut seed);
+            assert_same_bits(&a.matmul(&b), &matmul_naive(&a, &b));
+        }
+        // Every 7th LHS element zeroed: mixed k-groups take the per-k
+        // fallback inside otherwise all-nonzero tiles.
+        for (m, k, n) in [
+            (1, 1, 1),
+            (3, 18, 18),
+            (7, 19, 23),
+            (2, 300, 9),
+            (4, 257, 31),
+        ] {
+            let mut a = lcg_matrix(m, k, &mut seed);
+            for v in a.as_mut_slice().iter_mut().step_by(7) {
+                *v = 0.0;
             }
             let b = lcg_matrix(k, n, &mut seed);
             assert_same_bits(&a.matmul(&b), &matmul_naive(&a, &b));
@@ -706,7 +859,7 @@ mod tests {
     #[test]
     fn matmul_zero_skip_semantics_preserved() {
         // Skipping a == 0.0 must keep ignoring inf/NaN in the other
-        // operand, exactly like the historical kernel.
+        // operand, exactly like the naive reference.
         let a = Matrix::from_rows(&[&[0.0, 1.0]]);
         let b = Matrix::from_rows(&[&[f64::INFINITY], &[2.0]]);
         assert_eq!(a.matmul(&b)[(0, 0)], 2.0);
@@ -812,5 +965,31 @@ mod tests {
         axpy(&mut y, 2.0, &[10.0, 20.0]);
         assert_eq!(y, vec![21.0, 42.0]);
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
+    }
+
+    #[test]
+    fn axpy_matches_plain_loop_bitwise() {
+        let mut seed = 9;
+        // Lengths below, at and around the lane width.
+        for len in [0usize, 1, 3, 4, 5, 18, 127] {
+            let x = lcg_matrix(1, len, &mut seed);
+            let y0 = lcg_matrix(1, len, &mut seed);
+            let a = lcg_matrix(1, 1, &mut seed)[(0, 0)];
+            let mut want = y0.as_slice().to_vec();
+            for (yv, &xv) in want.iter_mut().zip(x.as_slice()) {
+                *yv += a * xv;
+            }
+            let mut got = y0.as_slice().to_vec();
+            axpy(&mut got, a, x.as_slice());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.to_bits(), w.to_bits(), "len={len}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "axpy length mismatch")]
+    fn axpy_checks_lengths() {
+        axpy(&mut [0.0; 3], 1.0, &[1.0; 4]);
     }
 }

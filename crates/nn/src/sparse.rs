@@ -175,7 +175,7 @@ impl SparseMatrix {
         if self.triplets.is_empty() {
             return out;
         }
-        let _prof = ancstr_par::profile::time(
+        ancstr_par::profile::count(
             ancstr_par::profile::Kernel::Spmm,
             (self.triplets.len() * cols) as u64,
         );

@@ -108,9 +108,9 @@ proptest! {
     }
 }
 
-// Bit-exactness properties: the CSR-cached sparse products and the SIMD
-// backend must reproduce their reference computations *bitwise*, not
-// just within tolerance — they are the substrate of the repo-wide
+// Bit-exactness properties: the CSR-cached sparse products and the
+// register-tiled dense kernels must reproduce their reference
+// computations *bitwise*, not just within tolerance — they are the substrate of the repo-wide
 // identity contract.
 proptest! {
     /// `matmul_dense` (the cached-CSR walk) matches a plain
@@ -182,50 +182,70 @@ proptest! {
         }
     }
 
-    /// The SIMD backend's blocked matmul kernel is bit-identical to the
-    /// scalar reference on random shapes and inputs, zeros included
-    /// (the `a == 0.0` skip must agree between backends).
+    /// The register-tiled blocked matmul is bit-identical to a naive
+    /// ijk loop with the `a == 0.0` skip on random shapes and inputs,
+    /// planted zeros included.
     #[test]
-    fn simd_matmul_rows_matches_scalar_bitwise(
+    fn tiled_matmul_matches_naive_bitwise(
         m in 1usize..5,
         inner in 1usize..24,
         n in 1usize..24,
         seed in 0u64..u64::MAX,
         zero_every in 2usize..7,
     ) {
-        use ancstr_nn::backend::BackendKind;
+        let mut next = lcg(seed);
+        let a = Matrix::from_fn(m, inner, |i, k| {
+            if (i * inner + k) % zero_every == 0 { 0.0 } else { next() }
+        });
+        let b = Matrix::from_fn(inner, n, |_, _| next());
 
-        // Seeded LCG fill with planted exact zeros.
-        let mut state = seed;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
-        };
-        let a: Vec<f64> = (0..m * inner)
-            .map(|i| if i % zero_every == 0 { 0.0 } else { next() })
-            .collect();
-        let b: Vec<f64> = (0..inner * n).map(|_| next()).collect();
-
-        let mut scalar = vec![0.0f64; m * n];
-        let mut simd = vec![0.0f64; m * n];
-        BackendKind::Scalar.backend().matmul_rows(&a, inner, 0..m, &b, n, &mut scalar);
-        BackendKind::Simd.backend().matmul_rows(&a, inner, 0..m, &b, n, &mut simd);
-        for (i, (s, v)) in scalar.iter().zip(&simd).enumerate() {
-            prop_assert_eq!(s.to_bits(), v.to_bits(), "matmul diverged at flat index {}", i);
+        let mut naive = Matrix::zeros(m, n);
+        for i in 0..m {
+            for j in 0..n {
+                for k in 0..inner {
+                    let av = a[(i, k)];
+                    if av == 0.0 {
+                        continue;
+                    }
+                    naive[(i, j)] += av * b[(k, j)];
+                }
+            }
         }
+        let got = a.matmul(&b);
+        for (i, (g, w)) in got.as_slice().iter().zip(naive.as_slice()).enumerate() {
+            prop_assert_eq!(g.to_bits(), w.to_bits(), "matmul diverged at flat index {}", i);
+        }
+    }
 
-        // The lane-grouped AXPY is bitwise too (independent elements,
-        // but the grouping must not change the arithmetic).
+    /// The lane-grouped AXPY is bit-identical to a plain element loop.
+    #[test]
+    fn lane_axpy_matches_plain_loop_bitwise(
+        len in 0usize..40,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut next = lcg(seed);
         let alpha = next();
-        let x: Vec<f64> = (0..m * n).map(|_| next()).collect();
-        let mut ys = scalar.clone();
-        let mut yv = simd.clone();
-        BackendKind::Scalar.backend().axpy(&mut ys, alpha, &x);
-        BackendKind::Simd.backend().axpy(&mut yv, alpha, &x);
-        for (i, (s, v)) in ys.iter().zip(&yv).enumerate() {
-            prop_assert_eq!(s.to_bits(), v.to_bits(), "axpy diverged at flat index {}", i);
+        let x: Vec<f64> = (0..len).map(|_| next()).collect();
+        let y0: Vec<f64> = (0..len).map(|_| next()).collect();
+        let mut want = y0.clone();
+        for (yv, &xv) in want.iter_mut().zip(&x) {
+            *yv += alpha * xv;
         }
+        let mut got = y0;
+        ancstr_nn::axpy(&mut got, alpha, &x);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(g.to_bits(), w.to_bits(), "axpy diverged at index {}", i);
+        }
+    }
+}
+
+/// Seeded LCG over `[-2, 2)`.
+fn lcg(seed: u64) -> impl FnMut() -> f64 {
+    let mut state = seed;
+    move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
     }
 }

@@ -88,8 +88,14 @@ pub fn threads() -> usize {
 }
 
 /// The hardware parallelism reported by the OS (at least 1).
+///
+/// Asked once per process and cached: std re-reads the CPU affinity
+/// mask and the cgroup quota on every call, and [`threads`] falls back
+/// to this on every region when no count is set. Chunk boundaries never
+/// depend on it, so caching changes no output.
 pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// The chunk size used to split `0..n` with a requested minimum chunk
@@ -379,7 +385,7 @@ mod pool {
     /// `workers` threads (including the calling thread). Returns after
     /// all chunks have completed; re-raises any chunk panic.
     pub(super) fn run(chunks: usize, workers: usize, runner: &(dyn Fn(usize) + Sync)) {
-        let _prof = profile::time(profile::Kernel::ParRegion, chunks as u64);
+        profile::count(profile::Kernel::ParRegion, chunks as u64);
         let p = pool();
         let _batch_guard = p.submit.lock().unwrap_or_else(|e| e.into_inner());
         // Helper-thread budget: never more than there are chunks beyond

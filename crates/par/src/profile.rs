@@ -1,20 +1,18 @@
-//! Zero-cost-when-disabled kernel profiling counters.
+//! Zero-cost-when-disabled kernel counters.
 //!
 //! The workspace's bit-identity contract forbids instrumentation from
 //! feeding back into numerics, so these counters only *observe*: each
-//! instrumented kernel records calls, elements processed, wall
-//! nanoseconds and the thread count in play. When profiling is disabled
-//! (the default) an instrumented call pays exactly one relaxed atomic
-//! load and never touches the clock, so the hot paths are unperturbed.
+//! instrumented kernel records its calls and the elements it processed.
+//! When profiling is disabled (the default) an instrumented call pays
+//! exactly one relaxed atomic load; when enabled, two relaxed adds.
+//! Counting never reads the clock or queries the thread count, so
+//! leaving it on (as `serve` does) does not perturb what it counts.
+//! Time belongs to the layer spans, not to the kernels.
 //!
-//! Attribution is flat, not hierarchical: `axpy` time recorded while
-//! inside an `spmm` call counts toward **both** kernels. That is
-//! deliberate — the question this module answers (ROADMAP item 2's
-//! detect-stage regression) is "which primitive is the wall-clock
-//! going to", and the overlap makes the inner/outer split explicit.
+//! Counts are flat, not hierarchical: the `axpy` calls made inside an
+//! `spmm` call count toward **both** kernels.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
 
 /// The instrumented kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,16 +37,12 @@ pub const KERNEL_NAMES: [&str; 5] = ["matmul", "spmm", "axpy", "row_norms", "par
 struct Slot {
     calls: AtomicU64,
     elems: AtomicU64,
-    wall_ns: AtomicU64,
-    threads: AtomicU64,
 }
 
 const fn slot() -> Slot {
     Slot {
         calls: AtomicU64::new(0),
         elems: AtomicU64::new(0),
-        wall_ns: AtomicU64::new(0),
-        threads: AtomicU64::new(0),
     }
 }
 
@@ -66,52 +60,29 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Zero every counter (start of a measured sweep).
+/// Zero every counter (start of a measured pass).
 pub fn reset() {
     for s in &SLOTS {
         s.calls.store(0, Ordering::Relaxed);
         s.elems.store(0, Ordering::Relaxed);
-        s.wall_ns.store(0, Ordering::Relaxed);
-        s.threads.store(0, Ordering::Relaxed);
     }
 }
 
-/// RAII guard returned by [`time`]; records on drop.
-#[must_use]
-pub struct Timer {
-    kernel: usize,
-    elems: u64,
-    start: Option<Instant>,
-}
-
-/// Start timing one kernel call over `elems` elements.
-///
-/// Returns an inert guard (no clock read) when profiling is disabled.
+/// Count one kernel call over `elems` elements (a no-op while
+/// profiling is disabled).
 #[inline]
-pub fn time(kernel: Kernel, elems: u64) -> Timer {
-    Timer {
-        kernel: kernel as usize,
-        elems,
-        start: enabled().then(Instant::now),
-    }
-}
-
-impl Drop for Timer {
-    fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let wall = start.elapsed().as_nanos() as u64;
-        let s = &SLOTS[self.kernel];
+pub fn count(kernel: Kernel, elems: u64) {
+    if enabled() {
+        let s = &SLOTS[kernel as usize];
         s.calls.fetch_add(1, Ordering::Relaxed);
-        s.elems.fetch_add(self.elems, Ordering::Relaxed);
-        s.wall_ns.fetch_add(wall, Ordering::Relaxed);
-        s.threads.store(super::threads() as u64, Ordering::Relaxed);
+        s.elems.fetch_add(elems, Ordering::Relaxed);
     }
 }
 
 /// A point-in-time copy of one kernel's counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Kernel name as exposed in metrics and bench output.
+    /// Kernel name as exposed in metrics.
     pub name: &'static str,
     /// Number of instrumented calls.
     pub calls: u64,
@@ -119,10 +90,6 @@ pub struct KernelStats {
     /// matmul/spmm, vector elements for axpy/row_norms, chunks for
     /// par_region).
     pub elems: u64,
-    /// Total wall nanoseconds inside the kernel.
-    pub wall_ns: u64,
-    /// Thread count configured at the most recent call.
-    pub threads: u64,
 }
 
 /// Snapshot every kernel's counters, in [`KERNEL_NAMES`] order.
@@ -134,8 +101,6 @@ pub fn snapshot() -> Vec<KernelStats> {
             name,
             calls: s.calls.load(Ordering::Relaxed),
             elems: s.elems.load(Ordering::Relaxed),
-            wall_ns: s.wall_ns.load(Ordering::Relaxed),
-            threads: s.threads.load(Ordering::Relaxed),
         })
         .collect()
 }
@@ -151,37 +116,27 @@ mod tests {
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
-    fn disabled_timers_record_nothing() {
+    fn disabled_counters_record_nothing() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);
         reset();
-        {
-            let _t = time(Kernel::Matmul, 1000);
-        }
+        count(Kernel::Matmul, 1000);
         let stats = snapshot();
         let matmul = stats.iter().find(|s| s.name == "matmul").unwrap();
-        assert_eq!((matmul.calls, matmul.elems, matmul.wall_ns), (0, 0, 0), "{stats:?}");
+        assert_eq!((matmul.calls, matmul.elems), (0, 0), "{stats:?}");
     }
 
     #[test]
-    fn enabled_timers_accumulate_calls_elems_and_wall() {
+    fn enabled_counters_accumulate_calls_and_elems() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
         reset();
-        {
-            let _t = time(Kernel::Spmm, 64);
-        }
-        {
-            let _t = time(Kernel::Spmm, 36);
-        }
+        count(Kernel::Spmm, 64);
+        count(Kernel::Spmm, 36);
         let stats = snapshot();
         set_enabled(false);
         let spmm = stats.iter().find(|s| s.name == "spmm").unwrap();
-        assert_eq!(spmm.calls, 2, "{stats:?}");
-        assert_eq!(spmm.elems, 100, "{stats:?}");
-        assert!(spmm.threads >= 1, "{stats:?}");
-        // wall_ns may round to 0 on a coarse clock but never goes
-        // negative; two Instant reads happened, so it is recorded.
+        assert_eq!((spmm.calls, spmm.elems), (2, 100), "{stats:?}");
         assert_eq!(stats.iter().find(|s| s.name == "matmul").unwrap().calls, 0);
     }
 }

@@ -166,14 +166,13 @@ struct Ctx {
 struct KernelPublished {
     calls: u64,
     elems: u64,
-    wall_ns: u64,
 }
 
 /// The process-wide kernel counters as a publish baseline.
 fn kernel_baseline() -> Vec<KernelPublished> {
     ancstr_par::profile::snapshot()
         .iter()
-        .map(|s| KernelPublished { calls: s.calls, elems: s.elems, wall_ns: s.wall_ns })
+        .map(|s| KernelPublished { calls: s.calls, elems: s.elems })
         .collect()
 }
 
@@ -288,7 +287,7 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         register_help(&obs);
-        // Kernel attribution rides the same switch as the rest of the
+        // Kernel counting rides the same switch as the rest of the
         // daemon's observability; when obs is disabled the compute
         // kernels pay only a relaxed load per call.
         if obs.enabled() {
@@ -493,8 +492,6 @@ fn register_help(obs: &PipelineObs) {
     m.help("ancstr_serve_request_duration_seconds", "End-to-end request time, by route, status code, cache temperature and model.");
     m.help("ancstr_kernel_calls_total", "Instrumented compute-kernel invocations, by kernel.");
     m.help("ancstr_kernel_elements_total", "Elements processed inside instrumented kernels (mul-adds for matmul/spmm), by kernel.");
-    m.help("ancstr_kernel_wall_ns_total", "Wall nanoseconds spent inside instrumented kernels, by kernel.");
-    m.help("ancstr_kernel_threads", "Thread count configured at the kernel's most recent call, by kernel.");
 }
 
 /// Handle one admitted connection end-to-end.
@@ -1241,8 +1238,9 @@ fn publish_scrape_metrics(ctx: &Ctx) {
 
 /// Fold the process-wide kernel profiling counters into the registry
 /// as monotonic deltas since this daemon's baseline. Saturating
-/// subtraction because `bench` (sharing the process in tests) may
-/// reset the counters between publishes.
+/// subtraction because the counters are process-wide: any other user
+/// in the same process (a test, an embedding program) may
+/// `profile::reset` them between publishes.
 fn publish_kernel_metrics(ctx: &Ctx) {
     if !ancstr_par::profile::enabled() {
         return;
@@ -1254,9 +1252,7 @@ fn publish_kernel_metrics(ctx: &Ctx) {
         let labels = [("kernel", s.name)];
         m.counter_add("ancstr_kernel_calls_total", &labels, s.calls.saturating_sub(prev.calls));
         m.counter_add("ancstr_kernel_elements_total", &labels, s.elems.saturating_sub(prev.elems));
-        m.counter_add("ancstr_kernel_wall_ns_total", &labels, s.wall_ns.saturating_sub(prev.wall_ns));
-        m.gauge_set("ancstr_kernel_threads", &labels, s.threads as f64);
-        *prev = KernelPublished { calls: s.calls, elems: s.elems, wall_ns: s.wall_ns };
+        *prev = KernelPublished { calls: s.calls, elems: s.elems };
     }
 }
 
@@ -1977,6 +1973,11 @@ M5 t t vss vss nch w=1u l=0.1u
         assert!(snapshot.contains("ancstr_par_threads"), "{snapshot}");
         assert!(snapshot.contains("ancstr_serve_request_duration_seconds_bucket"), "{snapshot}");
         assert!(snapshot.contains("ancstr_kernel_calls_total{kernel=\"matmul\"}"), "{snapshot}");
+        assert!(snapshot.contains("ancstr_kernel_elements_total{kernel=\"matmul\"}"), "{snapshot}");
+        // Kernels are counted, not timed: no per-kernel clock or
+        // thread-count families (`ancstr_par_threads` reports the count).
+        assert!(!snapshot.contains("ancstr_kernel_wall"), "{snapshot}");
+        assert!(!snapshot.contains("ancstr_kernel_threads"), "{snapshot}");
         ancstr_obs::metrics::validate_exposition(&snapshot).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -328,76 +328,3 @@ fn groups_output_renders_paths() {
     assert!(stdout.contains("members"), "{stdout}");
     assert!(stdout.contains("sa/M1"), "{stdout}");
 }
-
-/// `bench` sweeps both backends by default, pins every `(backend,
-/// threads)` combination to one output hash, and records the schema
-/// fields CI's perf-smoke gate dispatches on. `--repeat` repetitions
-/// must reproduce the hash (the report says so via
-/// `identical_across_*`), and a zero repeat count is a usage error.
-#[test]
-fn bench_report_pins_backends_and_threads() {
-    let dir = workdir("bench");
-    let sp = dir.join("sa.sp");
-    fs::write(&sp, NETLIST).unwrap();
-    let report_path = dir.join("report.json");
-
-    let out = bin()
-        .arg("bench")
-        .arg(&sp)
-        .args(["--epochs", "8", "--seed", "5", "--threads", "2"])
-        .args(["--stress-devices", "0", "--repeat", "2"])
-        .arg("-o")
-        .arg(&report_path)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let report = fs::read_to_string(&report_path).unwrap();
-    for needle in [
-        "\"schema\": \"ancstr-bench-v2\"",
-        "\"backends\": [\"scalar\", \"simd\"]",
-        "\"repeat\": 2",
-        "\"identical_across_threads\": true",
-        "\"identical_across_backends\": true",
-        "\"simd_speedup_t1\"",
-        "\"backend\": \"scalar\", \"stage\": \"detect\"",
-        "\"backend\": \"simd\", \"stage\": \"detect\"",
-        "\"kernel\": \"matmul\"",
-    ] {
-        assert!(report.contains(needle), "missing {needle} in:\n{report}");
-    }
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("identical across thread counts [1, 2] and backends"),
-        "{stdout}"
-    );
-
-    // Pinning one backend narrows the report: no cross-backend ratio,
-    // and only that backend's records.
-    let out = bin()
-        .arg("bench")
-        .arg(&sp)
-        .args(["--epochs", "8", "--seed", "5", "--threads", "2"])
-        .args(["--stress-devices", "0", "--backend", "scalar"])
-        .arg("-o")
-        .arg(&report_path)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let report = fs::read_to_string(&report_path).unwrap();
-    assert!(report.contains("\"backends\": [\"scalar\"]"), "{report}");
-    assert!(!report.contains("simd_speedup_t1"), "{report}");
-    assert!(!report.contains("\"backend\": \"simd\""), "{report}");
-
-    let out = bin()
-        .arg("bench")
-        .arg(&sp)
-        .args(["--repeat", "0"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2), "usage error for --repeat 0");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--repeat must be at least 1"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
