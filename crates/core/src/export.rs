@@ -8,6 +8,7 @@
 //! sym_group  device Ca0 Ca1 Cb0 Cb1
 //! ```
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use ancstr_netlist::flat::{FlatCircuit, HierNodeId};
@@ -78,8 +79,16 @@ pub fn read_constraints(
     flat: &FlatCircuit,
     text: &str,
 ) -> Result<ConstraintSet, ParseConstraintError> {
+    // One path index per call: `FlatCircuit::node_by_path` scans every
+    // node, and a corpus file names hundreds of thousands of members.
+    // The first node of a path wins, as in `node_by_path`.
+    let mut by_path: HashMap<&str, HierNodeId> = HashMap::with_capacity(flat.nodes().len());
+    for node in flat.nodes() {
+        by_path.entry(node.path.as_str()).or_insert(node.id);
+    }
     let mut set = ConstraintSet::new();
     let mut hierarchy: Option<HierNodeId> = None;
+    let mut path = String::new();
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
         let line = raw.trim();
@@ -88,11 +97,11 @@ pub fn read_constraints(
         }
         if let Some(rest) = line.strip_prefix("# hierarchy:") {
             let path = rest.trim();
-            let node = flat.node_by_path(path).ok_or_else(|| ParseConstraintError {
+            let node = by_path.get(path).ok_or_else(|| ParseConstraintError {
                 line: lineno,
                 reason: format!("unknown hierarchy `{path}`"),
             })?;
-            hierarchy = Some(node.id);
+            hierarchy = Some(*node);
             continue;
         }
         if line.starts_with('#') {
@@ -125,12 +134,13 @@ pub fn read_constraints(
         let tc_path = &flat.node(tc).path;
         let mut members = Vec::new();
         for name in tok {
-            let path = format!("{tc_path}/{name}");
-            let node = flat.node_by_path(&path).ok_or_else(|| ParseConstraintError {
+            path.clear();
+            let _ = write!(path, "{tc_path}/{name}");
+            let node = by_path.get(path.as_str()).ok_or_else(|| ParseConstraintError {
                 line: lineno,
                 reason: format!("unknown member `{name}` under `{tc_path}`"),
             })?;
-            members.push(node.id);
+            members.push(*node);
         }
         if members.len() < 2 {
             return Err(ParseConstraintError {
@@ -225,6 +235,25 @@ C3 m vss 10f
         assert!(err.reason.contains("level"));
         let err = read_constraints(&flat, "# hierarchy: top\nsym device X1\n").unwrap_err();
         assert!(err.reason.contains("two members"));
+    }
+
+    #[test]
+    fn unknown_names_report_exact_messages() {
+        let flat = fixture();
+        let err = read_constraints(&flat, "sym device X1 X2\n# hierarchy: top/X9\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 1: constraint before any `# hierarchy:` header");
+        let err = read_constraints(&flat, "# hierarchy: top/X9\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 1: unknown hierarchy `top/X9`");
+        let err = read_constraints(&flat, "# hierarchy: top\nsym system X1 X2\n\nsym device C1 GHOST\n")
+            .unwrap_err();
+        assert_eq!(err.to_string(), "line 4: unknown member `GHOST` under `top`");
+        let err =
+            read_constraints(&flat, "# hierarchy: top/X1\nsym device Mp Mn X2\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: unknown member `X2` under `top/X1`");
+        let set = read_constraints(&flat, "# hierarchy: top/X1\nsym device Mp Mn\n").unwrap();
+        let mp = flat.node_by_path("top/X1/Mp").unwrap().id;
+        let mn = flat.node_by_path("top/X1/Mn").unwrap().id;
+        assert!(set.contains_pair(mp, mn));
     }
 
     #[test]

@@ -34,13 +34,25 @@ impl Default for LossConfig {
 }
 
 /// The positive/negative index pairs for one training pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct ContextBatch {
     /// Positive pairs `(u, v)` with `u ∈ N_in(v)`.
     pub positives: Vec<(usize, usize)>,
     /// Negative pairs `(ũ, v)`.
     pub negatives: Vec<(usize, usize)>,
+    /// Scratch: the cumulative negative-sampling distribution, kept so
+    /// [`ContextBatch::resample`] reuses its buffer.
+    cumulative: Vec<f64>,
 }
+
+/// Equality compares the pairs; the sampling scratch is derived data.
+impl PartialEq for ContextBatch {
+    fn eq(&self, other: &ContextBatch) -> bool {
+        self.positives == other.positives && self.negatives == other.negatives
+    }
+}
+
+impl Eq for ContextBatch {}
 
 impl ContextBatch {
     /// Draw a batch for every vertex of `tensors`.
@@ -51,27 +63,34 @@ impl ContextBatch {
     /// which the last draw is kept (matching the usual word2vec
     /// implementation compromise).
     pub fn sample(tensors: &GraphTensors, config: &LossConfig, rng: &mut impl Rng) -> ContextBatch {
+        let mut batch = ContextBatch::default();
+        batch.resample(tensors, config, rng);
+        batch
+    }
+
+    /// Refill this batch in place with a fresh draw: the same pairs and
+    /// the same RNG calls as [`ContextBatch::sample`], reusing the
+    /// buffers of the previous draw.
+    pub fn resample(&mut self, tensors: &GraphTensors, config: &LossConfig, rng: &mut impl Rng) {
         let n = tensors.vertex_count();
-        let mut positives = Vec::new();
+        self.positives.clear();
         for v in 0..n {
             for &u in tensors.in_neighbors(v) {
-                positives.push((u, v));
+                self.positives.push((u, v));
             }
         }
 
         // Unigram distribution ∝ (in_degree + 1)^0.75.
-        let weights: Vec<f64> = (0..n)
-            .map(|v| ((tensors.in_degree(v) + 1) as f64).powf(0.75))
-            .collect();
-        let mut cumulative = Vec::with_capacity(n);
+        let cumulative = &mut self.cumulative;
+        cumulative.clear();
         let mut acc = 0.0;
-        for &w in &weights {
-            acc += w;
+        for v in 0..n {
+            acc += ((tensors.in_degree(v) + 1) as f64).powf(0.75);
             cumulative.push(acc);
         }
         let total = acc;
 
-        let mut negatives = Vec::new();
+        self.negatives.clear();
         if n > 1 && total > 0.0 {
             for v in 0..n {
                 let forbidden = tensors.in_neighbors(v);
@@ -84,11 +103,10 @@ impl ContextBatch {
                             break;
                         }
                     }
-                    negatives.push((pick, v));
+                    self.negatives.push((pick, v));
                 }
             }
         }
-        ContextBatch { positives, negatives }
     }
 
     /// Number of loss terms.
@@ -103,7 +121,9 @@ impl ContextBatch {
 }
 
 /// Record the Eq. 2 loss on `tape` given the final embeddings node `z`
-/// (shape `n × D`). Returns a `1 × 1` loss node.
+/// (shape `n × D`). Returns a `1 × 1` loss node. The gather indices are
+/// copied straight from the batch into buffers from the tape's free
+/// list.
 ///
 /// # Panics
 ///
@@ -118,18 +138,16 @@ pub fn context_loss(
     let mut terms: Vec<NodeId> = Vec::new();
 
     if !batch.positives.is_empty() {
-        let (us, vs): (Vec<usize>, Vec<usize>) = batch.positives.iter().copied().unzip();
-        let zu = tape.gather_rows(z, us);
-        let zv = tape.gather_rows(z, vs);
+        let zu = tape.gather_rows(z, batch.positives.iter().map(|&(u, _)| u));
+        let zv = tape.gather_rows(z, batch.positives.iter().map(|&(_, v)| v));
         let dots = tape.row_dot(zu, zv);
         let ls = tape.log_sigmoid(dots);
         let s = tape.sum(ls);
         terms.push(tape.neg(s));
     }
     if !batch.negatives.is_empty() {
-        let (us, vs): (Vec<usize>, Vec<usize>) = batch.negatives.iter().copied().unzip();
-        let zu = tape.gather_rows(z, us);
-        let zv = tape.gather_rows(z, vs);
+        let zu = tape.gather_rows(z, batch.negatives.iter().map(|&(u, _)| u));
+        let zv = tape.gather_rows(z, batch.negatives.iter().map(|&(_, v)| v));
         let dots = tape.row_dot(zu, zv);
         // log(1 − σ(x)) = log σ(−x)
         let neg_dots = tape.neg(dots);
@@ -244,7 +262,7 @@ mod tests {
     fn empty_batch_panics() {
         let mut tape = Tape::new();
         let z = tape.leaf(Matrix::zeros(2, 2));
-        let batch = ContextBatch { positives: vec![], negatives: vec![] };
+        let batch = ContextBatch::default();
         let _ = context_loss(&mut tape, z, &batch, &LossConfig::default());
     }
 

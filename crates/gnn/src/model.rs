@@ -151,6 +151,10 @@ impl GnnModel {
     /// Record a full forward pass on `tape`, returning the final hidden
     /// state node and the parameter leaves (for gradient collection).
     ///
+    /// The feature and parameter leaves are copies in buffers from the
+    /// tape's free list, so a trainer that [resets](Tape::reset) one
+    /// tape per step re-records without allocating.
+    ///
     /// # Panics
     ///
     /// Panics if `features` has the wrong column count or row count.
@@ -178,14 +182,11 @@ impl GnnModel {
             .map(|&p| tape.sparse(tensors.adjacency_shared(p)))
             .collect();
 
-        let mut h = tape.leaf(features.clone());
+        let mut h = tape.leaf_copy(features);
         let mut leaves = Vec::with_capacity(self.layers.len());
         for layer in &self.layers {
-            let w_ids: Vec<NodeId> = layer
-                .edge_weights
-                .iter()
-                .map(|w| tape.leaf(w.clone()))
-                .collect();
+            let w_ids: Vec<NodeId> =
+                layer.edge_weights.iter().map(|w| tape.leaf_copy(w)).collect();
             let gru_leaves = layer.gru.leaves(tape);
 
             // message = Σ_τ A_τ · (H · W_τ)

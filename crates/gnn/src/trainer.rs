@@ -13,6 +13,15 @@
 //!   derived replacement seed, up to a bounded retry budget. On a clean
 //!   run the guardrails never fire and the loss trajectory equals
 //!   [`train`]'s exactly.
+//!
+//! Both keep one autograd [`Tape`], one [`Gradients`] store and one
+//! [`ContextBatch`] for the whole run: every step resets the tape,
+//! which keeps its buffers on a free list (see `ancstr_nn::tape`), and
+//! refills the store and the batch in place. After the first step on a
+//! graph, a step allocates nothing whose size grows with the graph —
+//! except with `neighbor_samples`, whose sampled tensors are rebuilt
+//! every epoch. The results are bit-identical to recording a new tape
+//! per step.
 
 use std::time::Instant;
 
@@ -20,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use ancstr_nn::{Adam, Matrix};
+use ancstr_nn::{Adam, Gradients, Matrix, Tape};
 
 use crate::error::{AnomalyCause, TrainError};
 use crate::loss::{context_loss, ContextBatch, LossConfig};
@@ -237,6 +246,53 @@ struct EpochGuard<'a> {
     norms: Option<&'a mut NormStats>,
 }
 
+/// The buffers one training run keeps across all of its steps: after
+/// the first step on a graph, a step allocates nothing whose size grows
+/// with the graph.
+#[derive(Debug)]
+struct StepBuffers {
+    /// Reset and re-recorded every step (see `ancstr_nn::tape`).
+    tape: Tape,
+    /// Refilled in place by every backward sweep.
+    grads: Gradients,
+    /// Refilled by [`ContextBatch::resample`] when negatives are redrawn.
+    batch: ContextBatch,
+    /// The parameter gradients handed to Adam, in
+    /// [`GnnModel::matrices`] order.
+    param_grads: Vec<Matrix>,
+}
+
+impl StepBuffers {
+    fn new(model: &GnnModel) -> StepBuffers {
+        StepBuffers {
+            tape: Tape::new(),
+            grads: Gradients::default(),
+            batch: ContextBatch::default(),
+            param_grads: model.matrices().iter().map(|m| Matrix::zeros(m.rows(), m.cols())).collect(),
+        }
+    }
+}
+
+/// The per-graph batches every attempt draws up front. With
+/// `resample_negatives` they are never read, but drawing them still
+/// advances the RNG exactly as the epoch loop expects, so they are drawn
+/// into the reused buffer and not kept.
+fn initial_batches(
+    dataset: &[TrainGraph],
+    config: &TrainConfig,
+    rng: &mut StdRng,
+    bufs: &mut StepBuffers,
+) -> Vec<ContextBatch> {
+    if config.resample_negatives {
+        for g in dataset {
+            bufs.batch.resample(&g.tensors, &config.loss, rng);
+        }
+        Vec::new()
+    } else {
+        dataset.iter().map(|g| ContextBatch::sample(&g.tensors, &config.loss, rng)).collect()
+    }
+}
+
 /// One full pass over the dataset. With `guard: None` this is exactly
 /// the historical [`train`] epoch — same RNG call sequence, same
 /// arithmetic. With a guard it additionally scans gradients (abort on
@@ -250,17 +306,20 @@ fn epoch_pass(
     opt: &mut Adam,
     order: &mut [usize],
     fixed_batches: &[ContextBatch],
+    bufs: &mut StepBuffers,
     mut guard: Option<EpochGuard<'_>>,
 ) -> Result<f64, AnomalyCause> {
     order.shuffle(rng);
+    let StepBuffers { tape, grads, batch: drawn, param_grads } = bufs;
     let mut total = 0.0;
     let mut counted = 0usize;
     for &gi in order.iter() {
         let graph = &dataset[gi];
         let batch = if config.resample_negatives {
-            ContextBatch::sample(&graph.tensors, &config.loss, rng)
+            drawn.resample(&graph.tensors, &config.loss, rng);
+            &*drawn
         } else {
-            fixed_batches[gi].clone()
+            &fixed_batches[gi]
         };
         if batch.is_empty() {
             continue;
@@ -273,34 +332,30 @@ fn epoch_pass(
             }
             None => &graph.tensors,
         };
-        let mut tape = ancstr_nn::Tape::new();
-        let (z, leaves) = model.forward_on_tape(&mut tape, tensors, &graph.features);
-        let loss = context_loss(&mut tape, z, &batch, &config.loss);
+        tape.reset();
+        let (z, leaves) = model.forward_on_tape(tape, tensors, &graph.features);
+        let loss = context_loss(tape, z, batch, &config.loss);
         let loss_value = tape.value(loss)[(0, 0)];
-        let mut grads = tape.backward(loss);
+        tape.backward_into(loss, grads);
 
-        let ids = leaves.ids();
-        let mut grad_mats: Vec<Matrix> = ids
-            .iter()
-            .map(|&id| {
-                grads.take(id).unwrap_or_else(|| {
-                    // A parameter can be grad-free on degenerate
-                    // graphs (e.g. no edges of its type).
-                    let (r, c) = tape.value(id).shape();
-                    Matrix::zeros(r, c)
-                })
-            })
-            .collect();
+        for (slot, id) in param_grads.iter_mut().zip(leaves.ids()) {
+            match grads.grad(id) {
+                Some(g) => slot.as_mut_slice().copy_from_slice(g.as_slice()),
+                // A parameter can be grad-free on degenerate graphs
+                // (e.g. no edges of its type).
+                None => slot.as_mut_slice().fill(0.0),
+            }
+        }
 
         if let Some(g) = guard.as_mut() {
             if g.health.inject_nan_grad_at == Some(g.epoch) && g.attempt == 0 {
-                if let Some(first) = grad_mats.first_mut() {
+                if let Some(first) = param_grads.first_mut() {
                     if first.rows() > 0 && first.cols() > 0 {
                         first[(0, 0)] = f64::NAN;
                     }
                 }
             }
-            let norm_sq: f64 = grad_mats
+            let norm_sq: f64 = param_grads
                 .iter()
                 .map(|m| {
                     let n = m.frobenius_norm();
@@ -315,8 +370,8 @@ fn epoch_pass(
                 let norm = norm_sq.sqrt();
                 if norm > max {
                     let scale = max / norm;
-                    for m in &mut grad_mats {
-                        *m = m.scale(scale);
+                    for x in param_grads.iter_mut().flat_map(|m| m.as_mut_slice()) {
+                        *x *= scale;
                     }
                     *g.clipped_steps += 1;
                     clipped_to = Some(max);
@@ -332,7 +387,7 @@ fn epoch_pass(
         }
 
         let mut params = model.matrices_mut();
-        opt.step(&mut params, &grad_mats);
+        opt.step(&mut params, param_grads);
 
         total += loss_value;
         counted += 1;
@@ -353,12 +408,8 @@ pub fn train(model: &mut GnnModel, dataset: &[TrainGraph], config: &TrainConfig)
     assert!(!dataset.is_empty(), "training needs at least one graph");
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut opt = Adam::new(config.learning_rate);
-
-    // Pre-sample fixed batches when not resampling.
-    let fixed_batches: Vec<ContextBatch> = dataset
-        .iter()
-        .map(|g| ContextBatch::sample(&g.tensors, &config.loss, &mut rng))
-        .collect();
+    let mut bufs = StepBuffers::new(model);
+    let fixed_batches = initial_batches(dataset, config, &mut rng, &mut bufs);
 
     let mut epoch_losses = Vec::with_capacity(config.epochs);
     let mut order: Vec<usize> = (0..dataset.len()).collect();
@@ -372,6 +423,7 @@ pub fn train(model: &mut GnnModel, dataset: &[TrainGraph], config: &TrainConfig)
             &mut opt,
             &mut order,
             &fixed_batches,
+            &mut bufs,
             None,
         )
         .expect("unguarded epochs never abort");
@@ -660,6 +712,7 @@ pub fn try_train_resumable(
     let mut attempt = 0usize;
     let mut seed = config.seed;
 
+    let mut bufs = StepBuffers::new(model);
     let mut resume = hooks.resume_from.take();
     if let Some(state) = &resume {
         validate_resume(state, model, dataset.len(), config)?;
@@ -680,10 +733,7 @@ pub fn try_train_resumable(
         // mid-stream RNG state, shuffle order, and optimizer moments.
         let mut rng = StdRng::seed_from_u64(seed);
         let mut opt = Adam::new(config.learning_rate);
-        let fixed_batches: Vec<ContextBatch> = dataset
-            .iter()
-            .map(|g| ContextBatch::sample(&g.tensors, &config.loss, &mut rng))
-            .collect();
+        let fixed_batches = initial_batches(dataset, config, &mut rng, &mut bufs);
         let mut order: Vec<usize> = (0..dataset.len()).collect();
         if let Some(state) = resume.take() {
             rng = StdRng::from_state(state.rng);
@@ -742,6 +792,7 @@ pub fn try_train_resumable(
                 &mut opt,
                 &mut order,
                 &fixed_batches,
+                &mut bufs,
                 Some(guard),
             );
             let anomaly = match outcome {

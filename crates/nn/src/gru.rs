@@ -80,10 +80,10 @@ impl GruCell {
         &mut self.params
     }
 
-    /// Register the parameters as leaves on `tape`.
+    /// Register copies of the parameters as leaves on `tape`.
     pub fn leaves(&self, tape: &mut Tape) -> GruLeaves {
         GruLeaves {
-            ids: self.params.iter().map(|m| tape.leaf(m.clone())).collect(),
+            ids: self.params.iter().map(|m| tape.leaf_copy(m)).collect(),
         }
     }
 

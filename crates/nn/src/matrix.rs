@@ -109,6 +109,12 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
+    /// Give up the row-major buffer (the inverse of
+    /// [`Matrix::from_vec`]).
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -164,13 +170,21 @@ impl Matrix {
     ///
     /// Panics on an inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        self.matmul_acc(other, &mut out);
+        out
+    }
+
+    /// `out += self · other` with the [`Matrix::matmul`] kernel; on a
+    /// zeroed `out` the result is bit-identical to `matmul`.
+    pub(crate) fn matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {:?} · {:?}",
             self.shape(),
             other.shape()
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
+        assert_eq!(out.shape(), (self.rows, other.cols), "matmul output shape mismatch");
         let inner = self.cols;
         let n = other.cols;
         profile::count(Kernel::Matmul, (self.rows * inner * n) as u64);
@@ -181,7 +195,6 @@ impl Matrix {
             min_rows_for(inner * n),
             |rows, chunk| matmul_rows(&self.data, inner, rows, &other.data, n, chunk),
         );
-        out
     }
 
     /// Transposed-RHS matrix product `self · otherᵀ` — the backward
@@ -193,12 +206,20 @@ impl Matrix {
     /// ikj orientation, whose independent per-`j` accumulators
     /// vectorize; a copy-free row-dot formulation pays a loop-carried
     /// dependence on the accumulator (reassociating it would change the
-    /// bits) and measured slower than transpose-then-multiply.
+    /// bits) and measured slower than transpose-then-multiply. In the
+    /// backward pass `other` is a `D × D` weight, so the copy is small.
     ///
     /// # Panics
     ///
     /// Panics unless `self.cols() == other.cols()`.
     pub fn matmul_transposed(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, other.rows);
+        self.matmul_transposed_acc(other, &mut out);
+        out
+    }
+
+    /// `out += self · otherᵀ`, see [`Matrix::matmul_transposed`].
+    pub(crate) fn matmul_transposed_acc(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols,
             other.cols,
@@ -206,7 +227,79 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        self.matmul(&other.transpose())
+        self.matmul_acc(&other.transpose(), out);
+    }
+
+    /// Transposed-LHS matrix product `selfᵀ · other` — the backward
+    /// pass's `dB = Aᵀ · dC` without materializing `Aᵀ`.
+    ///
+    /// Bit-identical to `self.transpose().matmul(other)`: output element
+    /// `(i, j)` receives `self[(r, i)] · other[(r, j)]` for ascending
+    /// `r`, skipping `self[(r, i)] == 0.0` exactly as the blocked kernel
+    /// does, so an inf/NaN in `other` behind a zero in `self` stays
+    /// out. The walk is row-major over both operands: one pass over the
+    /// tall `self` and `other`, each row a rank-1 update of the small
+    /// `cols × other.cols()` output. Counted as one matmul call of
+    /// `rows · cols · other.cols()` elements, like the product it
+    /// replaces.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `self.rows() == other.rows()`.
+    pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        self.transpose_matmul_acc(other, &mut out);
+        out
+    }
+
+    /// `out += selfᵀ · other`, see [`Matrix::transpose_matmul`].
+    pub(crate) fn transpose_matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(
+            self.rows,
+            other.rows,
+            "transpose_matmul shape mismatch: {:?}ᵀ · {:?}",
+            self.shape(),
+            other.shape()
+        );
+        assert_eq!(out.shape(), (self.cols, other.cols), "transpose_matmul output shape mismatch");
+        let (inner, k, n) = (self.rows, self.cols, other.cols);
+        profile::count(Kernel::Matmul, (k * inner * n) as u64);
+        // Output row `i` is Σ_r self[(r, i)] · other[r], the ikj kernel's
+        // row with column `i` of `self` as its LHS row: the same 4-wide
+        // groups of ascending `r`, register tile and zero fallback.
+        let kernel = |rows: Range<usize>, chunk: &mut [f64]| {
+            let mut r = 0;
+            while r + LANES <= inner {
+                let group = &other.data[r * n..(r + LANES) * n];
+                for (i, orow) in rows.clone().zip(chunk.chunks_exact_mut(n.max(1))) {
+                    let ak: [f64; LANES] = std::array::from_fn(|l| self.data[(r + l) * k + i]);
+                    if ak.iter().all(|&v| v != 0.0) {
+                        kgroup_tile(ak, group, n, 0, n, orow);
+                    } else {
+                        kgroup_scalar(&ak, 0, group, n, 0, n, orow);
+                    }
+                }
+                r += LANES;
+            }
+            for rr in r..inner {
+                let grow = &other.data[rr * n..(rr + 1) * n];
+                for (i, orow) in rows.clone().zip(chunk.chunks_exact_mut(n.max(1))) {
+                    let av = self.data[rr * k + i];
+                    if av != 0.0 {
+                        axpy_lanes(orow, av, grow);
+                    }
+                }
+            }
+        };
+        // The same row split as `self.transpose().matmul(other)`, so the
+        // parallel regions are the same. Below the parallel floor one
+        // pass covers every output row instead of one pass per chunk.
+        let min_rows = min_rows_for(inner * n);
+        if ancstr_par::would_parallelize(k, min_rows) {
+            par_row_chunks(k, n, &mut out.data, min_rows, kernel);
+        } else {
+            kernel(0..k, &mut out.data);
+        }
     }
 
     /// Transpose.
@@ -333,18 +426,36 @@ impl Matrix {
     /// does not.
     pub fn map_par(&self, f: impl Fn(f64) -> f64 + Sync) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
-        let base = ancstr_par::SendPtr::new(out.data.as_mut_ptr());
-        ancstr_par::for_each_chunk(self.data.len(), MAP_PAR_MIN_CHUNK, |range| {
-            // Sound: chunk ranges are disjoint, so each element is
-            // written by exactly one thread.
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut(base.get().add(range.start), range.len())
-            };
+        self.map_par_into(&mut out, f);
+        out
+    }
+
+    /// Overwrite `out` with `f(self)` element-wise, as
+    /// [`Matrix::map_par`].
+    pub(crate) fn map_par_into(&self, out: &mut Matrix, f: impl Fn(f64) -> f64 + Sync) {
+        assert_eq!(self.shape(), out.shape(), "element-wise op shape mismatch");
+        par_chunks_into(&mut out.data, |range, dst| {
             for (o, &x) in dst.iter_mut().zip(&self.data[range]) {
                 *o = f(x);
             }
         });
-        out
+    }
+
+    /// Overwrite `out` with `f(self, other)` element-wise, split into
+    /// the same parallel chunks as [`Matrix::map_par`].
+    pub(crate) fn zip_map_par_into(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+        f: impl Fn(f64, f64) -> f64 + Sync,
+    ) {
+        assert_eq!(self.shape(), other.shape(), "element-wise op shape mismatch");
+        assert_eq!(self.shape(), out.shape(), "element-wise op shape mismatch");
+        par_chunks_into(&mut out.data, |range, dst| {
+            for ((o, &x), &y) in dst.iter_mut().zip(&self.data[range.clone()]).zip(&other.data[range]) {
+                *o = f(x, y);
+            }
+        });
     }
 
     /// The L2 norm of every row, computed exactly as
@@ -385,12 +496,19 @@ impl Matrix {
     /// Column sums as a `1 × cols` matrix.
     pub fn column_sums(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] += self[(r, c)];
+        self.column_sums_acc(&mut out);
+        out
+    }
+
+    /// `out += column sums` (`out` is `1 × cols`), rows in ascending
+    /// order.
+    pub(crate) fn column_sums_acc(&self, out: &mut Matrix) {
+        assert_eq!(out.shape(), (1, self.cols), "column_sums output shape mismatch");
+        for row in self.data.chunks_exact(self.cols.max(1)) {
+            for (o, &x) in out.data.iter_mut().zip(row) {
+                *o += x;
             }
         }
-        out
     }
 
     /// Maximum absolute element (0 for an empty matrix).
@@ -462,6 +580,20 @@ const MAP_PAR_MIN_CHUNK: usize = 2048;
 /// Per-chunk floor of ~32k mul-adds keeps pool dispatch overhead under
 /// a few percent of chunk compute.
 const PAR_MIN_CHUNK_WORK: usize = 32_768;
+
+/// Run `f` over the element chunks of `data` the parallel element-wise
+/// maps use, handing each invocation its index range and the mutable
+/// slice covering it.
+fn par_chunks_into(data: &mut [f64], f: impl Fn(Range<usize>, &mut [f64]) + Sync) {
+    let base = ancstr_par::SendPtr::new(data.as_mut_ptr());
+    ancstr_par::for_each_chunk(data.len(), MAP_PAR_MIN_CHUNK, |range| {
+        // Sound: chunk ranges are disjoint, so each element is written
+        // by exactly one thread.
+        let dst =
+            unsafe { std::slice::from_raw_parts_mut(base.get().add(range.start), range.len()) };
+        f(range, dst);
+    });
+}
 
 /// Minimum rows per parallel chunk for a kernel doing `work_per_row`
 /// mul-adds per row.
@@ -626,6 +758,13 @@ fn kgroup_scalar(
 pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
     profile::count(Kernel::Axpy, y.len() as u64);
     assert_eq!(y.len(), x.len(), "axpy length mismatch");
+    axpy_lanes(y, a, x);
+}
+
+/// The uncounted body of [`axpy`], zipped to the shorter operand; also
+/// the rank-1 row update inside [`Matrix::transpose_matmul`].
+#[inline]
+fn axpy_lanes(y: &mut [f64], a: f64, x: &[f64]) {
     let mut yc = y.chunks_exact_mut(LANES);
     let mut xc = x.chunks_exact(LANES);
     for (yl, xl) in (&mut yc).zip(&mut xc) {
@@ -854,6 +993,47 @@ mod tests {
             let bt = lcg_matrix(n, k, &mut seed);
             assert_same_bits(&a.matmul_transposed(&bt), &a.matmul(&bt.transpose()));
         }
+    }
+
+    #[test]
+    fn transpose_matmul_matches_explicit_transpose_bitwise() {
+        let mut seed = 23;
+        for (m, k, n) in [(1, 1, 1), (7, 18, 18), (1233, 18, 18), (300, 5, 9)] {
+            let mut a = lcg_matrix(m, k, &mut seed);
+            for v in a.as_mut_slice().iter_mut().step_by(7) {
+                *v = 0.0;
+            }
+            let mut g = lcg_matrix(m, n, &mut seed);
+            // inf/NaN in G behind a zero in A: the skipped products must
+            // stay out of every output element the zero guards.
+            for (r, poison) in [(0, f64::INFINITY), (m / 2, f64::NAN), (m - 1, f64::NEG_INFINITY)] {
+                if let Some(i) = (0..k).find(|&i| a[(r, i)] == 0.0) {
+                    g[(r, i % n)] = poison;
+                }
+            }
+            let want = a.transpose().matmul(&g);
+            assert_same_bits(&a.transpose_matmul(&g), &want);
+            let before = ancstr_par::threads();
+            for t in [1usize, 2] {
+                ancstr_par::set_threads(t);
+                assert_same_bits(&a.transpose_matmul(&g), &want);
+            }
+            ancstr_par::set_threads(before);
+        }
+        // A zero row of A keeps a poisoned row of G out entirely.
+        let mut a = lcg_matrix(3, 4, &mut seed);
+        a.row_mut(1).fill(0.0);
+        let mut g = lcg_matrix(3, 5, &mut seed);
+        g.row_mut(1).copy_from_slice(&[f64::NAN, f64::INFINITY, f64::NAN, 1.0, f64::NEG_INFINITY]);
+        let got = a.transpose_matmul(&g);
+        assert!(got.is_finite());
+        assert_same_bits(&got, &a.transpose().matmul(&g));
+    }
+
+    #[test]
+    #[should_panic(expected = "transpose_matmul shape mismatch")]
+    fn transpose_matmul_checks_shapes() {
+        let _ = Matrix::zeros(3, 2).transpose_matmul(&Matrix::zeros(4, 2));
     }
 
     #[test]

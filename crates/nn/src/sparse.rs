@@ -134,11 +134,19 @@ impl SparseMatrix {
     ///
     /// Panics if `self.cols() != dense.rows()`.
     pub fn matmul_dense(&self, dense: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, dense.cols());
+        self.matmul_dense_acc(dense, &mut out);
+        out
+    }
+
+    /// `out += self · dense`; on a zeroed `out` bit-identical to
+    /// [`SparseMatrix::matmul_dense`].
+    pub(crate) fn matmul_dense_acc(&self, dense: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, dense.rows(), "spmm shape mismatch");
         let view = self
             .by_row
             .get_or_init(|| CsrView::build(self.rows, &self.triplets, |&(r, _, _)| r));
-        self.grouped_product(self.rows, dense, view, |&(_, c, _)| c)
+        self.grouped_product(self.rows, dense, view, |&(_, c, _)| c, out);
     }
 
     /// Dense product with the transpose: `selfᵀ · dense` (the backward
@@ -148,15 +156,24 @@ impl SparseMatrix {
     ///
     /// Panics if `self.rows() != dense.rows()`.
     pub fn transpose_matmul_dense(&self, dense: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, dense.cols());
+        self.transpose_matmul_dense_acc(dense, &mut out);
+        out
+    }
+
+    /// `out += selfᵀ · dense`; on a zeroed `out` bit-identical to
+    /// [`SparseMatrix::transpose_matmul_dense`].
+    pub(crate) fn transpose_matmul_dense_acc(&self, dense: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, dense.rows(), "spmmᵀ shape mismatch");
         let view = self
             .by_col
             .get_or_init(|| CsrView::build(self.cols, &self.triplets, |&(_, c, _)| c));
-        self.grouped_product(self.cols, dense, view, |&(r, _, _)| r)
+        self.grouped_product(self.cols, dense, view, |&(r, _, _)| r, out);
     }
 
     /// Shared kernel for both dense products over a cached CSR view:
-    /// `src_row(t)` names the dense row a triplet reads.
+    /// `src_row(t)` names the dense row a triplet reads, and every
+    /// product accumulates into `out` (`out_rows × dense.cols()`).
     ///
     /// Walking output rows through the stable CSR grouping accumulates
     /// each output element in original triplet order — bit-identical to
@@ -169,11 +186,12 @@ impl SparseMatrix {
         dense: &Matrix,
         view: &CsrView,
         src_row: impl Fn(&(usize, usize, f64)) -> usize + Sync,
-    ) -> Matrix {
+        out: &mut Matrix,
+    ) {
         let cols = dense.cols();
-        let mut out = Matrix::zeros(out_rows, cols);
+        assert_eq!(out.shape(), (out_rows, cols), "spmm output shape mismatch");
         if self.triplets.is_empty() {
-            return out;
+            return;
         }
         ancstr_par::profile::count(
             ancstr_par::profile::Kernel::Spmm,
@@ -192,10 +210,9 @@ impl SparseMatrix {
         };
         if !ancstr_par::would_parallelize(out_rows, min_rows) {
             walk(0..out_rows, out.as_mut_slice());
-            return out;
+            return;
         }
         par_row_chunks(out_rows, cols, out.as_mut_slice(), min_rows, walk);
-        out
     }
 
     /// Assemble independent operators into one block-diagonal operator:
